@@ -31,7 +31,10 @@
 //     streaming bulk reads: cluster.GetBatch plans N named reads into one
 //     ordered GetBatch stream per destination (optionally spread over
 //     follower shadows with WithReadReplicas) and reassembles them
-//     client-side in exact request order
+//     client-side in exact request order; names travel on the wire —
+//     RootNamed and GetBatch route by the ring and the home server resolves
+//     each name while it executes, so naming costs no round trip and an
+//     unbound name fails at flush (or on its own stream entry)
 //   - internal/rmi       distributed object runtime (the "Java RMI" role):
 //     reflective dispatch plus opt-in reflection-free skeletons
 //     (LocalDispatcher, generated by brmigen like rmic's skeleton classes)

@@ -34,7 +34,7 @@ func RunCache(cfg Config, objects int, hitPcts []int) (*Table, error) {
 		objects = CacheReadObjects
 	}
 	table := &Table{
-		Fig:     "Fig. C1",
+		Fig:     "Fig. C6",
 		Title:   fmt.Sprintf("Readonly lease cache (%d cached reads per flush)", objects),
 		XLabel:  "lease hit rate %",
 		Profile: cfg.Profile.Name,

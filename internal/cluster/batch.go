@@ -67,6 +67,9 @@ type Batch struct {
 	groups map[string]*group // keyed by server endpoint
 	calls  []*recordedCall
 	closed bool
+	// rootsByRef and rootsByName deduplicate Root and RootNamed.
+	rootsByRef  map[wire.Ref]*Proxy
+	rootsByName map[string]*Proxy
 	// waves counts the parallel fan-out barriers the flush executed.
 	waves int
 	// held are the exported result refs this batch leased between stages.
@@ -197,41 +200,70 @@ func New(peer *rmi.Peer, opts ...Option) *Batch {
 func (b *Batch) Root(ref wire.Ref) *Proxy {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g, ok := b.groups[ref.Endpoint]
-	if !ok {
-		g = &group{
-			endpoint:    ref.Endpoint,
-			rootProxies: make(map[wire.Ref]*Proxy),
-		}
-		if ref.Endpoint == "" {
-			b.fail(fmt.Errorf("%w: object %d", ErrNoEndpoint, ref.ObjID))
-		}
-		b.groups[ref.Endpoint] = g
-	}
-	if p, ok := g.rootProxies[ref]; ok {
+	if p, ok := b.rootsByRef[ref]; ok {
 		return p
 	}
-	p := &Proxy{b: b, group: g, rootRef: ref, isRoot: true}
-	g.roots = append(g.roots, ref)
-	g.rootProxies[ref] = p
+	if ref.Endpoint == "" {
+		b.fail(fmt.Errorf("%w: object %d", ErrNoEndpoint, ref.ObjID))
+	}
+	p := b.addRoot(ref.Endpoint)
+	p.rootRef = ref
+	if b.rootsByRef == nil {
+		b.rootsByRef = make(map[wire.Ref]*Proxy)
+	}
+	b.rootsByRef[ref] = p
 	return p
 }
 
-// RootNamed resolves a cluster-wide name through the batch's directory
-// (WithDirectory) and returns its recording proxy, remembering the name so
-// a stale-route flush failure can re-resolve the root at its new home and
-// retry. It is the epoch-aware way to address rebalanceable objects.
+// RootNamed returns the recording proxy for the object bound under a
+// cluster-wide name, routed to the name's home server by the batch's
+// directory ring (WithDirectory). It sends nothing: the name travels with
+// the flush and the home server resolves it in its own registry while it
+// executes the batch, so a named root costs no round trip of its own.
+// Calling RootNamed twice with the same name returns the same proxy.
+//
+// Because resolution happens at flush, a name that is not bound fails
+// there, not here: the flush reports *registry.NotBoundError for that
+// root's destination and its futures rethrow it. A name that migrated since
+// the directory last saw the ring fails its wave with *rmi.WrongHomeError,
+// which the flush retries once at the refreshed home. ctx is unused and
+// kept for compatibility with callers written against record-time lookup.
 func (b *Batch) RootNamed(ctx context.Context, name string) (*Proxy, error) {
 	if b.dir == nil {
 		return nil, errors.New("cluster: RootNamed requires a batch built with WithDirectory")
 	}
-	ref, err := b.dir.Lookup(ctx, name)
+	if name == "" {
+		return nil, errors.New("cluster: RootNamed: empty name")
+	}
+	home, err := b.dir.Home(name)
 	if err != nil {
 		return nil, err
 	}
-	p := b.Root(ref)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if p, ok := b.rootsByName[name]; ok {
+		return p, nil
+	}
+	p := b.addRoot(home)
 	p.key = name
+	if b.rootsByName == nil {
+		b.rootsByName = make(map[string]*Proxy)
+	}
+	b.rootsByName[name] = p
 	return p, nil
+}
+
+// addRoot registers a new root proxy with endpoint's destination group.
+// Caller holds b.mu.
+func (b *Batch) addRoot(endpoint string) *Proxy {
+	g, ok := b.groups[endpoint]
+	if !ok {
+		g = &group{endpoint: endpoint}
+		b.groups[endpoint] = g
+	}
+	p := &Proxy{b: b, group: g, isRoot: true}
+	g.roots = append(g.roots, p)
+	return p
 }
 
 // Peer returns the underlying RMI peer.
@@ -360,13 +392,13 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 	// leases of every root object it can reach, at record time, so readonly
 	// calls later in program order can never serve the pre-write value.
 	if !ro && b.cache != nil {
-		if root := rootOf(target); !root.rootRef.IsZero() {
-			b.cache.InvalidateObject(rcache.ObjKey(root.rootRef))
+		if obj := rootOf(target).objKey(); obj != "" {
+			b.cache.InvalidateObject(obj)
 		}
 		for _, a := range args {
 			if x, ok := a.(*Proxy); ok {
-				if root := rootOf(x); !root.rootRef.IsZero() {
-					b.cache.InvalidateObject(rcache.ObjKey(root.rootRef))
+				if obj := rootOf(x).objKey(); obj != "" {
+					b.cache.InvalidateObject(obj)
 				}
 			}
 		}
@@ -424,10 +456,71 @@ func (b *Batch) Flush(ctx context.Context) error {
 		return ferr
 	}
 	stages := buildStages(b.calls, nstages)
+	calls := b.calls
 	b.calls = nil
 	b.mu.Unlock()
 
+	b.resolveCrossRoots(ctx, calls)
 	return b.execute(ctx, stages)
+}
+
+// resolveCrossRoots gives a static ref to every named root passed as an
+// argument of a call bound for a different server. A home server resolves
+// names only for the roots of its own sub-batch, so this one shape looks
+// the name up through the directory — once per name, in parallel, before
+// the first wave. A failed lookup settles the consuming calls with its
+// error; the rest of the flush goes ahead.
+func (b *Batch) resolveCrossRoots(ctx context.Context, calls []*recordedCall) {
+	b.mu.Lock()
+	var named []*Proxy
+	var seen map[*Proxy]bool
+	for _, c := range calls {
+		for _, a := range c.args {
+			x, ok := a.(*Proxy)
+			if !ok || x.origin != nil || x.key == "" || x.group == c.group || seen[x] {
+				continue
+			}
+			if seen == nil {
+				seen = make(map[*Proxy]bool)
+			}
+			seen[x] = true
+			named = append(named, x)
+		}
+	}
+	b.mu.Unlock()
+	if len(named) == 0 {
+		return
+	}
+	refs := make([]wire.Ref, len(named))
+	errs := make([]error, len(named))
+	var wg sync.WaitGroup
+	for i, x := range named {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			refs[i], errs[i] = b.dir.Lookup(ctx, name)
+		}(i, x.key)
+	}
+	wg.Wait()
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	failed := make(map[*Proxy]error)
+	for i, x := range named {
+		if errs[i] != nil {
+			failed[x] = errs[i]
+			continue
+		}
+		x.rootRef = refs[i]
+	}
+	for _, c := range calls {
+		for i, a := range c.args {
+			if x, ok := a.(*Proxy); ok && failed[x] != nil && x.group != c.group {
+				settleLocal(c, fmt.Errorf("cluster: argument %d of %s: %w", i, c.method, failed[x]))
+				break
+			}
+		}
+	}
 }
 
 // FlushError reports the destinations whose sub-batch failed, and in which
@@ -506,10 +599,12 @@ type Proxy struct {
 	b      *Batch
 	group  *group
 	isRoot bool
-	// rootRef is the exported object this proxy stands for (roots only).
+	// rootRef is the exported object this proxy stands for (roots addressed
+	// by ref; a named root has one only once a plan-time lookup gave it one).
 	rootRef wire.Ref
-	// key is the cluster-wide name this root was resolved from (RootNamed);
-	// it is what lets a stale-route retry re-resolve the root's new home.
+	// key is the cluster-wide name of a RootNamed root. The home server
+	// resolves it at flush; it is also what lets a stale-route retry re-home
+	// the root through the refreshed ring.
 	key string
 	// origin is the recorded call that produces this proxy's object (nil
 	// for roots). The planner reads it to build the dependency DAG.
@@ -525,6 +620,19 @@ type Proxy struct {
 
 // Batch returns the cluster batch this proxy records into.
 func (p *Proxy) Batch() *Batch { return p.b }
+
+// objKey is the lease-cache object key of a root proxy: its name for a
+// named root (leases then follow the name across migrations, stamped with
+// the ring epoch like every lease), else its ref; "" when it has neither.
+func (p *Proxy) objKey() string {
+	if p.key != "" {
+		return rcache.NameKey(p.key)
+	}
+	if p.rootRef.IsZero() {
+		return ""
+	}
+	return rcache.ObjKey(p.rootRef)
+}
 
 // Endpoint returns the destination server this proxy's calls are bound for.
 func (p *Proxy) Endpoint() string { return p.group.endpoint }
@@ -556,7 +664,8 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cache != nil && p.isRoot && p.b == b && !b.closed && b.recErr == nil {
-		if key, ok := rcache.Key(p.rootRef, method, args); ok {
+		obj := p.objKey()
+		if key, ok := rcache.Key(obj, method, args); ok {
 			if v, hit := b.cache.Get(key); hit {
 				f.settled = true
 				f.val = v
@@ -566,7 +675,7 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 				c.future = f
 				f.origin = c
 				c.ckey = key
-				c.cobj = rcache.ObjKey(p.rootRef)
+				c.cobj = obj
 				c.cgen = b.cache.Gen(c.cobj)
 				c.cepoch = b.cache.Epoch()
 			}

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/rmi"
 	"repro/internal/stats"
 )
@@ -14,9 +17,10 @@ import (
 // Streaming bulk reads across the cluster (the Get-Batch workload).
 //
 // GetBatch turns N named reads into ONE stream request per destination
-// server: names resolve through the directory, group by home endpoint, and
-// each group ships as a single core.GetBatch stream executed in parallel
-// with the others. The returned Stream is the client-side assembler: it
+// server: names route to their home endpoint by the directory's ring, group
+// by home, and each group ships its names as a single core.GetBatch stream
+// executed in parallel with the others. Each home server resolves the names
+// in its own registry while it streams, so no lookup precedes the streams. The returned Stream is the client-side assembler: it
 // merges the per-destination streams back into exact request order,
 // delivering entry i while later entries are still in flight. With
 // replicated shards (WithReadReplicas) the planner spreads reads over each
@@ -57,12 +61,37 @@ func WithReadReplicas() GetBatchOption {
 	return func(o *getBatchOpts) { o.readReplicas = true }
 }
 
-// destBatch is the per-destination slice of the request: parallel objIDs
-// and global indexes, in request order.
+// destBatch is the per-destination slice of the request, in request order:
+// global indexes, and per entry either a name for the server to resolve or
+// (a follower shadow read) an object id with an empty name.
 type destBatch struct {
 	endpoint string
 	objIDs   []uint64
+	names    []string
 	indexes  []int64
+}
+
+// destGroups groups entries into per-destination batches, preserving
+// request order within each; dests lists them by first appearance.
+type destGroups struct {
+	byDest map[string]*destBatch
+	dests  []*destBatch
+}
+
+// add appends entry i, read at endpoint by name or object id.
+func (g *destGroups) add(endpoint string, i int, objID uint64, name string) {
+	db := g.byDest[endpoint]
+	if db == nil {
+		if g.byDest == nil {
+			g.byDest = make(map[string]*destBatch)
+		}
+		db = &destBatch{endpoint: endpoint}
+		g.byDest[endpoint] = db
+		g.dests = append(g.dests, db)
+	}
+	db.objIDs = append(db.objIDs, objID)
+	db.names = append(db.names, name)
+	db.indexes = append(db.indexes, int64(i))
 }
 
 // Stream delivers a cluster GetBatch strictly in request order. Entries
@@ -82,55 +111,42 @@ type Stream struct {
 }
 
 // GetBatch issues one ordered bulk read of names across the cluster. The
-// caller must drain the stream to io.EOF or Close it. Resolution failures
-// (unknown name, no route) surface as that entry's Err, not as a global
-// failure.
+// caller must drain the stream to io.EOF or Close it. Every name goes to its
+// home server as part of that server's single stream request and resolves
+// there, so a name that is not bound fails at read time, as its own entry's
+// Err (*registry.NotBoundError) — never as a global failure. An entry whose
+// name migrated since the directory last saw the ring (*rmi.WrongHomeError)
+// is re-issued once, after one ring refresh shared by all such entries, and
+// still delivered in request order.
 func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, opts ...GetBatchOption) (*Stream, error) {
 	var o getBatchOpts
 	for _, op := range opts {
 		op(&o)
 	}
 
-	// Resolve every name to the endpoint+objID it will be read at. Lookups
-	// are independent network calls, so they fan out in parallel — a
-	// sequential resolve pass would cost N round trips and swamp the single
-	// streamed request the whole design exists to get down to.
 	endpoints := make([]string, len(names))
 	objIDs := make([]uint64, len(names))
-	resolveErrs := make([]error, len(names))
-	var rwg sync.WaitGroup
+	routeErrs := make([]error, len(names))
 	for i, name := range names {
-		rwg.Add(1)
-		go func(i int, name string) {
-			defer rwg.Done()
-			ref, err := d.Lookup(ctx, name)
-			if err != nil {
-				resolveErrs[i] = err
-				return
-			}
-			endpoints[i], objIDs[i] = ref.Endpoint, ref.ObjID
-		}(i, name)
-	}
-	rwg.Wait()
-	if o.readReplicas && d.Replication() > 1 {
-		spreadOverReplicas(ctx, p, d, names, endpoints, objIDs, resolveErrs)
-	}
-
-	// Group into per-destination sub-batches, preserving request order.
-	byDest := make(map[string]*destBatch)
-	var dests []*destBatch
-	for i := range names {
-		if resolveErrs[i] != nil {
+		if name == "" {
+			routeErrs[i] = &registry.NotBoundError{Name: name}
 			continue
 		}
-		db := byDest[endpoints[i]]
-		if db == nil {
-			db = &destBatch{endpoint: endpoints[i]}
-			byDest[endpoints[i]] = db
-			dests = append(dests, db)
+		endpoints[i], routeErrs[i] = d.Home(name)
+	}
+	if o.readReplicas && d.Replication() > 1 {
+		spreadOverReplicas(ctx, p, d, names, endpoints, objIDs, routeErrs)
+	}
+
+	var groups destGroups
+	for i, name := range names {
+		if routeErrs[i] != nil {
+			continue
 		}
-		db.objIDs = append(db.objIDs, objIDs[i])
-		db.indexes = append(db.indexes, int64(i))
+		if objIDs[i] != 0 {
+			name = "" // a follower shadow, addressed by id
+		}
+		groups.add(endpoints[i], i, objIDs[i], name)
 	}
 
 	sctx, cancel := context.WithCancel(ctx)
@@ -143,19 +159,70 @@ func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, op
 	if reg := p.Stats(); reg != nil {
 		s.depth = reg.Gauge("cluster.getbatch_buffer")
 	}
-	for i, err := range resolveErrs {
+	for i, err := range routeErrs {
 		if err != nil {
 			s.deliver(&StreamEntry{Index: i, Name: names[i], Err: err})
 		}
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.run(sctx, p, d, groups.dests, names, o.method)
+	}()
+	return s, nil
+}
+
+// run streams every destination in parallel, then re-issues the entries
+// that failed wrong-home: one coalesced ring refresh, the moved names
+// regrouped by their new homes, one stream per new home. A second
+// wrong-home failure is delivered as the entry's Err.
+func (s *Stream) run(ctx context.Context, p *rmi.Peer, d *Directory, dests []*destBatch, names []string, method string) {
+	var (
+		mu    sync.Mutex
+		moved []*StreamEntry
+	)
+	s.streamAll(dests, func(db *destBatch) {
+		if m := s.runDest(ctx, p, db, names, method, true); len(m) > 0 {
+			mu.Lock()
+			moved = append(moved, m...)
+			mu.Unlock()
+		}
+	})
+	if len(moved) == 0 {
+		return
+	}
+	if err := d.Refresh(ctx); err != nil {
+		for _, e := range moved {
+			e.Err = fmt.Errorf("%w (ring refresh failed: %v)", e.Err, err)
+			s.deliver(e)
+		}
+		return
+	}
+	sort.Slice(moved, func(i, j int) bool { return moved[i].Index < moved[j].Index })
+	var groups destGroups
+	for _, e := range moved {
+		home, err := d.Home(e.Name)
+		if err != nil {
+			e.Err = err
+			s.deliver(e)
+			continue
+		}
+		groups.add(home, e.Index, 0, e.Name)
+	}
+	s.streamAll(groups.dests, func(db *destBatch) { s.runDest(ctx, p, db, names, method, false) })
+}
+
+// streamAll runs fn once per destination, concurrently, and waits.
+func (s *Stream) streamAll(dests []*destBatch, fn func(*destBatch)) {
+	var wg sync.WaitGroup
 	for _, db := range dests {
-		s.wg.Add(1)
+		wg.Add(1)
 		go func(db *destBatch) {
-			defer s.wg.Done()
-			s.runDest(sctx, p, db, names, o.method)
+			defer wg.Done()
+			fn(db)
 		}(db)
 	}
-	return s, nil
+	wg.Wait()
 }
 
 // spreadOverReplicas rewrites a slice of the read set onto follower
@@ -164,7 +231,7 @@ func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, op
 // assigned names have a seeded, live shadow. Names without one — and any
 // follower that cannot be asked — stay on the primary. Best-effort by
 // design: failure here costs spreading, never correctness.
-func spreadOverReplicas(ctx context.Context, p *rmi.Peer, d *Directory, names []string, endpoints []string, objIDs []uint64, resolveErrs []error) {
+func spreadOverReplicas(ctx context.Context, p *rmi.Peer, d *Directory, names []string, endpoints []string, objIDs []uint64, routeErrs []error) {
 	type replicaGroup struct {
 		primary string
 		names   []string
@@ -173,13 +240,13 @@ func spreadOverReplicas(ctx context.Context, p *rmi.Peer, d *Directory, names []
 	groups := make(map[string]*replicaGroup) // key: follower + "\x00" + primary
 	epoch := d.Epoch()
 	for i, name := range names {
-		if resolveErrs[i] != nil {
+		if routeErrs[i] != nil {
 			continue
 		}
 		owners, _ := d.Owners(name)
 		if len(owners) < 2 || owners[0] != endpoints[i] {
-			// Not replicated, or the lookup resolved off-ring (mid-
-			// migration); don't second-guess it.
+			// Not replicated, or the ring moved under the routing pass;
+			// don't second-guess it.
 			continue
 		}
 		pick := owners[i%len(owners)]
@@ -216,14 +283,15 @@ func spreadOverReplicas(ctx context.Context, p *rmi.Peer, d *Directory, names []
 // runDest drains one destination's sub-stream into the assembler. The
 // per-server stream is ordered, so entries pair with the sub-batch's
 // indexes positionally; a destination failing mid-stream fails exactly its
-// undelivered remainder.
-func (s *Stream) runDest(ctx context.Context, p *rmi.Peer, db *destBatch, names []string, method string) {
+// undelivered remainder. With holdMoved, entries that failed wrong-home are
+// returned for re-issue instead of delivered.
+func (s *Stream) runDest(ctx context.Context, p *rmi.Peer, db *destBatch, names []string, method string, holdMoved bool) (moved []*StreamEntry) {
 	failFrom := func(cursor int, err error) {
 		for _, gi := range db.indexes[cursor:] {
 			s.deliver(&StreamEntry{Index: int(gi), Name: names[gi], Err: err})
 		}
 	}
-	gs, err := core.GetBatch(ctx, p, db.endpoint, db.objIDs, db.indexes, method)
+	gs, err := core.GetBatch(ctx, p, db.endpoint, db.objIDs, db.indexes, method, db.names)
 	if err != nil {
 		failFrom(0, err)
 		return
@@ -244,9 +312,16 @@ func (s *Stream) runDest(ctx context.Context, p *rmi.Peer, db *destBatch, names 
 			failFrom(cursor, fmt.Errorf("cluster: getbatch: %s delivered index %d, want %d", db.endpoint, entry.Index, want))
 			return
 		}
-		s.deliver(&StreamEntry{Index: int(want), Name: names[want], Value: entry.Value, Err: entry.Err})
+		se := &StreamEntry{Index: int(want), Name: names[want], Value: entry.Value, Err: entry.Err}
+		var wrong *rmi.WrongHomeError
+		if holdMoved && errors.As(entry.Err, &wrong) {
+			moved = append(moved, se)
+		} else {
+			s.deliver(se)
+		}
 		cursor++
 	}
+	return moved
 }
 
 // deliver hands one entry to the assembler.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"repro/internal/rcache"
-	"repro/internal/wire"
 )
 
 // Call kinds a cluster recording can hold. They mirror the core package's
@@ -61,10 +60,9 @@ type recordedCall struct {
 // serves.
 type group struct {
 	endpoint string
-	// roots are the group's batch roots in registration order; rootProxies
-	// maps each root ref to the proxy handed to the caller.
-	roots       []wire.Ref
-	rootProxies map[wire.Ref]*Proxy
+	// roots are the group's root proxies in registration order, each
+	// addressed by ref (Batch.Root) or by name (Batch.RootNamed).
+	roots []*Proxy
 }
 
 // subBatch is one partition of a stage: every call of that stage bound for

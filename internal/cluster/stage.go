@@ -50,9 +50,10 @@ type destState struct {
 
 // replState is one replicated destination's shipping identity: the chain id
 // linking its waves through one shadow session on each follower, the root
-// names/interfaces in payload order, and the payload of the wave just
-// executed (captured by the core batch's OnShip hook, consumed by
-// Batch.replicate on the wave goroutine).
+// names/interfaces in payload order (interfaces learned from the primary's
+// first resolution of the names), and the payload of the wave just executed
+// (captured by the core batch's OnShip hook, consumed by Batch.replicate on
+// the wave goroutine).
 type replState struct {
 	chain   string
 	names   []string
@@ -75,49 +76,56 @@ func (ds *destState) open(b *Batch) error {
 	if b.parallelRoots {
 		opts = append(opts, core.WithParallelRoots())
 	}
-	cb := core.New(b.peer, ds.group.roots[0], opts...)
-	ds.group.rootProxies[ds.group.roots[0]].core = cb.Root()
-	for _, ref := range ds.group.roots[1:] {
-		cp, err := cb.AddRoot(ref)
+	first := ds.group.roots[0]
+	var cb *core.Batch
+	if first.key != "" {
+		cb = core.NewNamed(b.peer, ds.group.endpoint, first.key, opts...)
+	} else {
+		cb = core.New(b.peer, first.rootRef, opts...)
+	}
+	first.core = cb.Root()
+	for _, p := range ds.group.roots[1:] {
+		var cp *core.Proxy
+		var err error
+		if p.key != "" {
+			cp, err = cb.AddRootNamed(p.key)
+		} else {
+			// Cannot fail on endpoint: every root in a group shares it.
+			cp, err = cb.AddRoot(p.rootRef)
+		}
 		if err != nil {
-			// Unreachable: every root in a group shares its endpoint.
 			return err
 		}
-		ds.group.rootProxies[ref].core = cp
+		p.core = cp
 	}
 	ds.cb = cb
 	b.armReplication(ds)
 	return nil
 }
 
-// armReplication decides whether ds's waves replicate and, if so, wires the
-// payload capture. Replication applies only when the batch is epoch-aware
-// (WithDirectory) over a replicated ring (R > 1) and every root of the
-// destination is addressed by cluster-wide name (RootNamed) with a
+// armReplication decides whether ds's waves may replicate and, if so,
+// wires the payload capture. Replication applies only when the batch is
+// epoch-aware (WithDirectory) over a replicated ring (R > 1) and every root
+// of the destination is addressed by cluster-wide name (RootNamed) with a
 // registered movable factory — an anonymous or system root has no shard
 // identity to replicate under, so its destination flushes unreplicated.
+// The movable check waits for the primary's first flush, which returns the
+// refs (and so the interfaces) the names resolved to (see replicate).
 // Caller holds b.mu.
 func (b *Batch) armReplication(ds *destState) {
 	if b.dir == nil || b.dir.Replication() <= 1 {
 		return
 	}
 	names := make([]string, len(ds.group.roots))
-	ifaces := make([]string, len(ds.group.roots))
-	for i, ref := range ds.group.roots {
-		p := ds.group.rootProxies[ref]
+	for i, p := range ds.group.roots {
 		if p.key == "" {
 			return
 		}
-		if _, ok := movableFactory(ref.Iface); !ok {
-			return
-		}
 		names[i] = p.key
-		ifaces[i] = ref.Iface
 	}
 	rs := &replState{
-		chain:  fmt.Sprintf("%s#%d", b.peer.ClientID(), chainSeq.Add(1)),
-		names:  names,
-		ifaces: ifaces,
+		chain: fmt.Sprintf("%s#%d", b.peer.ClientID(), chainSeq.Add(1)),
+		names: names,
 	}
 	ds.repl = rs
 	ds.cb.OnShip(func(req any, _ bool) { rs.payload = req })
@@ -142,6 +150,18 @@ func (b *Batch) replicate(ctx context.Context, ds *destState) error {
 	}
 	payload := rs.payload
 	rs.payload = nil
+	if rs.ifaces == nil {
+		refs := ds.cb.RootRefs()
+		ifaces := make([]string, len(refs))
+		for i, ref := range refs {
+			if _, ok := movableFactory(ref.Iface); !ok {
+				ds.repl = nil // not movable: no shard identity, flush unreplicated
+				return nil
+			}
+			ifaces[i] = ref.Iface
+		}
+		rs.ifaces = ifaces
+	}
 	primary := ds.group.endpoint
 
 	owners := make([][]string, len(rs.names))
@@ -547,6 +567,9 @@ func (b *Batch) resolveInputs(c *recordedCall) ([]any, error) {
 				continue
 			}
 			if x.origin == nil {
+				if x.rootRef.IsZero() {
+					return nil, fmt.Errorf("cluster: argument %d of %s: named root %q has no ref to pass to %q", i, c.method, x.key, c.group.endpoint)
+				}
 				args[i] = x.rootRef
 				continue
 			}
@@ -599,14 +622,14 @@ func stageSub(subs []*subBatch, ds *destState) *subBatch {
 // canRetryStale decides whether a failed destination wave may be retried
 // against a refreshed shard map. Caller holds b.mu.
 //
-// The retry re-resolves the destination's named roots (Proxy.key, set by
-// RootNamed) and replays this stage's calls against fresh core batches at
-// the new homes, so it is only sound when (a) nothing server-side is lost
-// with the old session — the batch must be epoch-aware (WithDirectory),
-// this must be the destination's last stage, and no earlier wave may have
-// left a chained session open (earlier results live only in that session
-// and cannot follow the object to its new home) — and (b) the wave is
-// known NOT to have executed. Two failure classes qualify: a wrong-home
+// The retry re-homes the destination's named roots (Proxy.key, set by
+// RootNamed) through the refreshed ring and replays this stage's calls
+// against fresh core batches at the new homes, so it is only sound when
+// (a) nothing server-side is lost with the old session — the batch must be
+// epoch-aware (WithDirectory), this must be the destination's last stage,
+// and no earlier wave may have left a chained session open (earlier results
+// live only in that session and cannot follow the object to its new home)
+// — and (b) the wave is known NOT to have executed. Two failure classes qualify: a wrong-home
 // rejection (the server refused the wave before running it) and a dial
 // failure (transport.DialError: the request never left the client — the
 // shape a crashed primary produces after failover re-homed its shards). A
@@ -677,67 +700,48 @@ func (b *Batch) retryStale(ctx context.Context, stage int, retries []*staleRetry
 	b.mu.Unlock()
 }
 
-// retryOne re-resolves one rejected sub-batch's named roots through the
-// refreshed directory, rewires its calls into per-new-home groups, and
-// flushes them as a fresh parallel wave. It reports whether anything was
-// actually flushed (the caller counts the retry pass as one wave).
+// retryOne re-homes one rejected sub-batch's named roots through the
+// refreshed ring, rewires its calls into per-new-home groups, and flushes
+// them as a fresh parallel wave. It reports whether anything was actually
+// flushed (the caller counts the retry pass as one wave).
 func (b *Batch) retryOne(ctx context.Context, stage int, r *staleRetry, reportFailure func(*destState, int, error)) bool {
-	// Re-resolve the named roots first, outside the batch lock — lookups
-	// are network calls and independent per root, so they fan out in
-	// parallel like every other cluster-wide control path. Un-named roots
-	// keep their recorded ref: if one of them was the migrated object there
-	// is no key to re-resolve it by, and the retried wave will fail
+	b.mu.Lock()
+	// The new home's registry resolves each name when the retried wave
+	// executes, so re-homing is a ring lookup, not a network call. Un-named
+	// roots keep their recorded ref: if one of them was the migrated object
+	// there is no key to re-route it by, and the retried wave will fail
 	// wrong-home again, this time finally.
 	roots := r.sb.group.roots
-	resolved := make([]wire.Ref, len(roots))
-	lerrs := make([]error, len(roots))
-	var lwg sync.WaitGroup
-	for i, ref := range roots {
-		p := r.sb.group.rootProxies[ref]
+	homes := make([]string, len(roots))
+	for i, p := range roots {
+		homes[i] = p.rootRef.Endpoint
 		if p.key == "" {
-			resolved[i] = ref
 			continue
 		}
-		lwg.Add(1)
-		go func(i int, key string) {
-			defer lwg.Done()
-			nr, err := b.dir.Lookup(ctx, key)
-			if err != nil {
-				lerrs[i] = fmt.Errorf("stale-route retry: re-resolve %q: %w", key, err)
-				return
-			}
-			resolved[i] = nr
-		}(i, p.key)
-	}
-	lwg.Wait()
-	if lerr := errors.Join(lerrs...); lerr != nil {
-		b.mu.Lock()
-		reportFailure(r.ds, stage, lerr)
-		settleSub(r.sb, r.ds.failed)
-		b.mu.Unlock()
-		return false
-	}
-	newRefs := make(map[*Proxy]wire.Ref, len(roots))
-	for i, ref := range roots {
-		newRefs[r.sb.group.rootProxies[ref]] = resolved[i]
+		home, err := b.dir.Home(p.key)
+		if err != nil {
+			reportFailure(r.ds, stage, fmt.Errorf("stale-route retry: re-home %q: %w", p.key, err))
+			settleSub(r.sb, r.ds.failed)
+			b.mu.Unlock()
+			return false
+		}
+		homes[i] = home
 	}
 
-	b.mu.Lock()
 	// Rewire the roots into one fresh group per new home, then re-home every
 	// call (and the proxies it settles) to its root's group, so partition
 	// and translate see a consistent recording again.
 	groups := make(map[string]*group)
-	for _, ref := range r.sb.group.roots {
-		p := r.sb.group.rootProxies[ref]
-		nr := newRefs[p]
-		g, ok := groups[nr.Endpoint]
+	for i, p := range roots {
+		g, ok := groups[homes[i]]
 		if !ok {
-			g = &group{endpoint: nr.Endpoint, rootProxies: make(map[wire.Ref]*Proxy)}
-			groups[nr.Endpoint] = g
+			g = &group{endpoint: homes[i]}
+			groups[homes[i]] = g
 		}
-		g.roots = append(g.roots, nr)
-		g.rootProxies[nr] = p
-		p.rootRef = nr
+		g.roots = append(g.roots, p)
+		if p.key != "" {
+			p.rootRef = wire.Ref{} // a plan-time ref names the old home's object
+		}
 		p.group = g
 		p.core = nil
 	}

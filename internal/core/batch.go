@@ -54,6 +54,12 @@ type Batch struct {
 	lastOwner *Cursor
 	// onShip observes each successfully executed flush payload (see OnShip).
 	onShip func(req any, keep bool)
+	// names is nil for a batch addressing its roots by ref only; otherwise
+	// it is parallel to [root, extra...] and a non-empty entry names that
+	// root in the server's registry (NewNamed, AddRootNamed). resolved holds
+	// the refs the server returned for them.
+	names    []string
+	resolved []wire.Ref
 }
 
 // callRecord links a recorded call to the client object awaiting its result.
@@ -138,9 +144,77 @@ func (b *Batch) OnShip(fn func(req any, keep bool)) {
 	b.onShip = fn
 }
 
+// NewNamed creates a batch whose root is the object bound under name in the
+// registry of the server at endpoint. The name travels with the flush and
+// the server resolves it while executing, so addressing a root by name costs
+// no round trip of its own. A name the server cannot resolve fails the
+// flush: *rmi.WrongHomeError when it migrated away, *registry.NotBoundError
+// when it is unknown, *rmi.NoSuchObjectError when it is bound to an object
+// another server exports.
+func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
+	b := New(peer, wire.Ref{Endpoint: endpoint}, opts...)
+	b.names = []string{name}
+	return b
+}
+
 // Root returns the proxy for the batch's root object.
 func (b *Batch) Root() *Proxy {
-	return &Proxy{b: b, seq: RootTarget, settled: true, root: true, chainRoot: b.root}
+	p := &Proxy{b: b, seq: RootTarget, settled: true, root: true, chainRoot: b.root}
+	if b.names != nil {
+		p.chainName = b.names[0]
+	}
+	return p
+}
+
+// AddRootNamed registers the object bound under name in the registry of
+// this batch's server as an additional root, resolved by that server at
+// flush time like NewNamed's root. Adding the same name twice returns a
+// proxy for the same root.
+func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, ErrBatchClosed
+	}
+	if name == "" {
+		return nil, errors.New("brmi: AddRootNamed: empty name")
+	}
+	if b.names == nil {
+		b.names = make([]string, 1+len(b.extra))
+	}
+	for i, n := range b.names {
+		if n == name {
+			return &Proxy{b: b, seq: RootTarget - int64(i), settled: true, root: true, chainRoot: b.rootRefAt(i), chainName: name}, nil
+		}
+	}
+	b.extra = append(b.extra, wire.Ref{Endpoint: b.root.Endpoint})
+	b.names = append(b.names, name)
+	return &Proxy{b: b, seq: extraRootSeq(len(b.extra) - 1), settled: true, root: true, chainRoot: b.extra[len(b.extra)-1], chainName: name}, nil
+}
+
+// rootRefAt returns root i of [root, extra...]. Caller holds b.mu.
+func (b *Batch) rootRefAt(i int) wire.Ref {
+	if i == 0 {
+		return b.root
+	}
+	return b.extra[i-1]
+}
+
+// RootRefs returns the batch's roots in registration order (the root, then
+// each AddRoot / AddRootNamed). A named root reports the ref its server
+// resolved it to on the last successful flush, or a ref carrying only the
+// endpoint before that.
+func (b *Batch) RootRefs() []wire.Ref {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]wire.Ref, 1+len(b.extra))
+	for i := range out {
+		out[i] = b.rootRefAt(i)
+		if i < len(b.resolved) && !b.resolved[i].IsZero() {
+			out[i] = b.resolved[i]
+		}
+	}
+	return out
 }
 
 // AddRoot registers another exported remote object as an additional root of
@@ -159,15 +233,18 @@ func (b *Batch) AddRoot(ref wire.Ref) (*Proxy, error) {
 		return nil, fmt.Errorf("%w: root %d lives on %q, batch targets %q",
 			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
 	}
-	if ref == b.root {
+	if ref == b.root && (b.names == nil || b.names[0] == "") {
 		return &Proxy{b: b, seq: RootTarget, settled: true, root: true, chainRoot: ref}, nil
 	}
 	for i, r := range b.extra {
-		if r == ref {
+		if r == ref && (b.names == nil || b.names[i+1] == "") {
 			return &Proxy{b: b, seq: extraRootSeq(i), settled: true, root: true, chainRoot: ref}, nil
 		}
 	}
 	b.extra = append(b.extra, ref)
+	if b.names != nil {
+		b.names = append(b.names, "")
+	}
 	return &Proxy{b: b, seq: extraRootSeq(len(b.extra) - 1), settled: true, root: true, chainRoot: ref}, nil
 }
 
@@ -215,14 +292,15 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any, ro bool) *
 	var ckey, cobj string
 	var cgen, cepoch uint64
 	if ro && b.cache != nil && target.root && !b.closed && b.recErr == nil {
-		if key, ok := rcache.Key(target.chainRoot, method, args); ok {
+		obj := target.objKey()
+		if key, ok := rcache.Key(obj, method, args); ok {
 			if v, hit := b.cache.Get(key); hit {
 				fa.st.settled = true
 				fa.st.val = v
 				return &fa.f
 			}
 			ckey = key
-			cobj = rcache.ObjKey(target.chainRoot)
+			cobj = obj
 			cgen = b.cache.Gen(cobj)
 			cepoch = b.cache.Epoch()
 		}
@@ -244,7 +322,7 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any, ro bool) *
 func (b *Batch) recordRemote(target *Proxy, method string, export bool, args []any) *Proxy {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	p := &Proxy{b: b, chainRoot: target.chainRoot}
+	p := &Proxy{b: b, chainRoot: target.chainRoot, chainName: target.chainName}
 	seq, owner, ok := b.appendCall(target, method, kindRemote, export, false, args)
 	if ok {
 		if export && owner != nil {
@@ -264,7 +342,7 @@ func (b *Batch) recordRemote(target *Proxy, method string, export bool, args []a
 func (b *Batch) recordCursor(target *Proxy, method string, args []any) *Cursor {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := &Cursor{Proxy: Proxy{b: b, chainRoot: target.chainRoot}, pos: -1}
+	c := &Cursor{Proxy: Proxy{b: b, chainRoot: target.chainRoot, chainName: target.chainName}, pos: -1}
 	if target.recordingOwner() != nil {
 		b.fail(ErrNestedCursor)
 		return c
@@ -375,12 +453,14 @@ func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool
 	// flush time, so a readonly call recorded after the write in program
 	// order can never serve the pre-write value.
 	if !ro && b.cache != nil {
-		if !target.chainRoot.IsZero() {
-			b.cache.InvalidateObject(rcache.ObjKey(target.chainRoot))
+		if obj := target.objKey(); obj != "" {
+			b.cache.InvalidateObject(obj)
 		}
 		for _, a := range args {
-			if ap := argProxy(a); ap != nil && !ap.chainRoot.IsZero() {
-				b.cache.InvalidateObject(rcache.ObjKey(ap.chainRoot))
+			if ap := argProxy(a); ap != nil {
+				if obj := ap.objKey(); obj != "" {
+					b.cache.InvalidateObject(obj)
+				}
 			}
 		}
 	}
@@ -489,6 +569,9 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 			req.Roots[i] = r.ObjID
 		}
 	}
+	if b.names != nil {
+		req.RootNames = b.names[:len(b.names):len(b.names)]
+	}
 	if !b.sentPol && b.policy != defaultPolicy {
 		// The server assumes AbortPolicy when no policy travels; the shared
 		// default never needs encoding.
@@ -533,6 +616,23 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		return ferr
 	}
 
+	if req.RootNames != nil {
+		if len(resp.RootRefs) != len(req.RootNames) {
+			ferr := &BatchError{Err: fmt.Errorf("response resolved %d roots, want %d", len(resp.RootRefs), len(req.RootNames))}
+			b.failure = ferr
+			b.closed = true
+			return ferr
+		}
+		// A chained flush leaves the session's root unresolved (zero):
+		// keep what the first flush reported for it.
+		for i, ref := range resp.RootRefs {
+			if i == len(b.resolved) {
+				b.resolved = append(b.resolved, ref)
+			} else if !ref.IsZero() {
+				b.resolved[i] = ref
+			}
+		}
+	}
 	b.sentPol = true
 	b.session = resp.Session
 	b.distribute(base, records, resp)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -198,6 +199,7 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 	req := *orig
 	req.Root = root
 	req.Roots = extras
+	req.RootNames = nil // the substitutes are shadow ids, not the primary's names
 	req.Session = session
 	resp, err := e.invokeBatch(ctx, &req, true)
 	if err != nil {
@@ -207,6 +209,15 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 }
 
 func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bool) (*batchResponse, error) {
+	var rootRefs []wire.Ref
+	if req.RootNames != nil {
+		// Names resolve before e.mu is taken: the registry has its own lock
+		// and resolveSession's critical section stays as short as before.
+		var err error
+		if req, rootRefs, err = e.resolveRootNames(req); err != nil {
+			return nil, err
+		}
+	}
 	sess, sessID, err := e.resolveSession(req)
 	if err != nil {
 		return nil, err
@@ -218,7 +229,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	if e.reg != nil {
 		waveStart = e.reg.Now()
 	}
-	resp := &batchResponse{}
+	resp := &batchResponse{RootRefs: rootRefs}
 	for restart := 0; ; restart++ {
 		var results []callResult
 		var again bool
@@ -276,6 +287,11 @@ func (e *Executor) resolveSession(req *batchRequest) (*session, uint64, error) {
 		if !ok {
 			return nil, 0, &SessionExpiredError{Session: req.Session}
 		}
+		// Check the session out while this flush replays into it: a second
+		// flush on the same chain (a reaper's release racing a late wave)
+		// then finds it expired instead of replaying concurrently. The
+		// flush puts it back when it keeps the session.
+		delete(e.sessions, req.Session)
 		sess.extras = extras
 		return sess, req.Session, nil
 	}
@@ -296,6 +312,73 @@ func (e *Executor) resolveSession(req *batchRequest) (*session, uint64, error) {
 		expires:  time.Now().Add(e.ttl),
 	}
 	return sess, e.nextID, nil
+}
+
+// nameResolver is the structural slice of registry.Service the executor
+// needs: the peer's own naming service, found at rmi.RegistryObjID.
+type nameResolver interface {
+	Lookup(name string) (wire.Ref, error)
+}
+
+// resolveRootNames returns a copy of req whose named roots carry the export
+// ids this server's registry binds them to, plus the resolved refs (parallel
+// to [Root, Roots...]). Any failure rejects the whole wave before a call
+// runs, which keeps the client's stale-route retry sound. A wrong-home
+// failure wins over the others, since it is the one a client retries.
+func (e *Executor) resolveRootNames(req *batchRequest) (*batchRequest, []wire.Ref, error) {
+	if len(req.RootNames) != 1+len(req.Roots) {
+		return nil, nil, fmt.Errorf("brmi: batch request names %d roots but carries %d", len(req.RootNames), 1+len(req.Roots))
+	}
+	r := *req
+	r.Roots = append([]uint64(nil), req.Roots...)
+	refs := make([]wire.Ref, len(req.RootNames))
+	var firstErr error
+	for i, name := range req.RootNames {
+		if name == "" || (i == 0 && req.Session != 0) {
+			continue // addressed by id, or the chain's root is the session's
+		}
+		ref, err := e.resolveName(name)
+		if err != nil {
+			var wrong *rmi.WrongHomeError
+			if firstErr == nil || errors.As(err, &wrong) {
+				firstErr = err
+			}
+			continue
+		}
+		refs[i] = ref
+		if i == 0 {
+			r.Root = ref.ObjID
+		} else {
+			r.Roots[i-1] = ref.ObjID
+		}
+	}
+	if firstErr != nil {
+		return nil, nil, firstErr
+	}
+	return &r, refs, nil
+}
+
+// resolveName looks name up in this peer's registry. The outcomes map onto
+// the typed errors a client acts on: a name migrated away fails with
+// *rmi.WrongHomeError (retryable after a ring refresh), an unknown one with
+// *registry.NotBoundError, and a binding to an object exported by another
+// server with *rmi.NoSuchObjectError — a batch executes only local objects.
+// A bound id absent from the local export table is classified later, by
+// missingRoot, exactly like a root sent by id.
+func (e *Executor) resolveName(name string) (wire.Ref, error) {
+	obj, _ := e.peer.LocalObject(rmi.RegistryObjID)
+	reg, ok := obj.(nameResolver)
+	if !ok {
+		return wire.Ref{}, &rmi.NoSuchObjectError{ObjID: rmi.RegistryObjID}
+	}
+	ref, err := reg.Lookup(name)
+	if err != nil {
+		return wire.Ref{}, err
+	}
+	if ref.Endpoint != e.peer.Endpoint() {
+		return wire.Ref{}, &rmi.NoSuchObjectError{ObjID: ref.ObjID}
+	}
+	return ref, nil
 }
 
 // missingRoot classifies a batch root absent from the export table: an

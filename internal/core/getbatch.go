@@ -24,11 +24,14 @@ const GetBatchService = "core.getbatch"
 // getBatchRequest names the objects to read, in request order. Indexes are
 // caller-assigned (global positions in a fanned-out batch), parallel to
 // ObjIDs. An empty Method reads each object's Snapshot(); otherwise Method
-// is invoked with no arguments and its first result is the value.
+// is invoked with no arguments and its first result is the value. Names,
+// when present, is parallel to ObjIDs: a non-empty entry is resolved in the
+// serving peer's registry and its id ignored.
 type getBatchRequest struct {
 	ObjIDs  []uint64
 	Indexes []int64
 	Method  string
+	Names   []string
 }
 
 // GetBatchEntry is one delivered result. A per-object failure (unknown id,
@@ -41,7 +44,11 @@ type GetBatchEntry struct {
 }
 
 func encGetBatchRequest(x wire.Enc, r *getBatchRequest) error {
-	x.BeginStruct("brmi.getbatch.req", 3)
+	n := 3
+	if r.Names != nil {
+		n = 4
+	}
+	x.BeginStruct("brmi.getbatch.req", n)
 	x.Slice(len(r.ObjIDs))
 	for _, id := range r.ObjIDs {
 		x.Uint(id)
@@ -51,6 +58,9 @@ func encGetBatchRequest(x wire.Enc, r *getBatchRequest) error {
 		x.Int(ix)
 	}
 	x.Str(r.Method)
+	if n > 3 {
+		encStrSlice(x, r.Names)
+	}
 	return nil
 }
 
@@ -89,7 +99,16 @@ func decGetBatchRequest(x wire.Dec, r *getBatchRequest, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 3)
+	if n > 3 {
+		var err error
+		if r.Names, err = decStrSlice(x); err != nil {
+			return err
+		}
+		if r.Names != nil && len(r.Names) != len(r.ObjIDs) {
+			return &wire.CorruptError{Detail: fmt.Sprintf("getbatch request carries %d names for %d ids", len(r.Names), len(r.ObjIDs))}
+		}
+	}
+	return x.SkipFields(n - 4)
 }
 
 func encGetBatchEntry(x wire.Enc, r *GetBatchEntry) error {
@@ -146,13 +165,24 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	if len(r.Indexes) != len(r.ObjIDs) {
 		return fmt.Errorf("brmi: getbatch: %d ids but %d indexes", len(r.ObjIDs), len(r.Indexes))
 	}
+	if r.Names != nil && len(r.Names) != len(r.ObjIDs) {
+		return fmt.Errorf("brmi: getbatch: %d ids but %d names", len(r.ObjIDs), len(r.Names))
+	}
 	e.getbatchBatches.Inc()
 	for i, objID := range r.ObjIDs {
 		entry := GetBatchEntry{Index: r.Indexes[i]}
+		var nameErr error
+		if r.Names != nil && r.Names[i] != "" {
+			var ref wire.Ref
+			ref, nameErr = e.resolveName(r.Names[i])
+			objID = ref.ObjID
+		}
 		obj, found := e.peer.LocalObject(objID)
 		switch {
+		case nameErr != nil:
+			entry.Err = nameErr
 		case !found:
-			entry.Err = &rmi.NoSuchObjectError{ObjID: objID}
+			entry.Err = e.missingRoot(objID)
 		case r.Method != "":
 			results, ierr := e.peer.InvokeLocal(ctx, obj, r.Method, nil)
 			if ierr != nil {
@@ -193,13 +223,17 @@ type GetBatchStream struct {
 
 // GetBatch issues one streaming bulk read against endpoint: objIDs are the
 // exported object ids to read there, indexes the caller's global positions
-// (parallel to objIDs), method the readonly accessor ("" = Snapshot). The
+// (parallel to objIDs), method the readonly accessor ("" = Snapshot). names,
+// nil or parallel to objIDs, addresses entries by registry name instead: the
+// server resolves a non-empty name locally, and a name it cannot resolve
+// fails only its own entry (*rmi.WrongHomeError for one migrated away). The
 // stream must be drained to io.EOF or closed.
-func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, objIDs []uint64, indexes []int64, method string) (*GetBatchStream, error) {
+func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, objIDs []uint64, indexes []int64, method string, names []string) (*GetBatchStream, error) {
 	sc, err := p.CallStream(ctx, endpoint, GetBatchService, &getBatchRequest{
 		ObjIDs:  objIDs,
 		Indexes: indexes,
 		Method:  method,
+		Names:   names,
 	})
 	if err != nil {
 		return nil, err

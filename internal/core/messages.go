@@ -97,6 +97,11 @@ type batchRequest struct {
 	// first flush when it differs from the default AbortPolicy (the server
 	// assumes AbortPolicy when absent).
 	Policy *Policy
+	// RootNames, when present, is parallel to [Root, Roots...]: a non-empty
+	// entry names that root in the executing server's registry, which
+	// resolves it locally and ignores the id; an empty entry keeps the id.
+	// Unnamed flushes leave it nil and stay byte-identical on the wire.
+	RootNames []string
 }
 
 // callResult is the outcome of one recorded call. The happy-path fields
@@ -146,6 +151,10 @@ type batchResponse struct {
 	Session uint64
 	// Restarts counts whole-batch restarts that ActionRestart caused.
 	Restarts int64
+	// RootRefs is parallel to the request's [Root, Roots...] and is set
+	// only when the request carried RootNames: the ref each named root
+	// resolved to (zero for roots addressed by id).
+	RootRefs []wire.Ref
 }
 
 func init() {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/rcache"
 	"repro/internal/wire"
 )
 
@@ -33,7 +34,9 @@ type Proxy struct {
 	root bool
 	// chainRoot is the exported object this proxy's call chain descends
 	// from; it keys cache invalidation for writes recorded through it.
+	// chainName replaces it as the key when that root is addressed by name.
 	chainRoot wire.Ref
+	chainName string
 	// exportRef is the pinned exported reference of this proxy's result,
 	// set at flush when the call was recorded with CallBatchExport.
 	exportRef wire.Ref
@@ -41,6 +44,18 @@ type Proxy struct {
 
 // Batch returns the batch this proxy records into.
 func (p *Proxy) Batch() *Batch { return p.b }
+
+// objKey is the lease-cache object key of the root this proxy's call chain
+// descends from, or "" when it has none.
+func (p *Proxy) objKey() string {
+	if p.chainName != "" {
+		return rcache.NameKey(p.chainName)
+	}
+	if p.chainRoot.IsZero() {
+		return ""
+	}
+	return rcache.ObjKey(p.chainRoot)
+}
 
 // Call records a method invocation whose result is a value, returning its
 // future. Use CallBatch for methods returning remote objects and CallCursor

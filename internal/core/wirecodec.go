@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/wire"
 )
 
@@ -165,27 +167,24 @@ func decInvocation(x wire.Dec, inv *invocationData, n int) error {
 }
 
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
-	n := 7
-	if r.Policy == nil {
+	var n int
+	switch {
+	case r.RootNames != nil:
+		n = 8
+	case r.Policy != nil:
+		n = 7
+	case r.Roots != nil:
 		n = 6
-		if r.Roots == nil {
-			n = 5
-			if !r.Parallel {
-				n = 4
-				if !r.KeepSession {
-					n = 3
-					if r.Session == 0 {
-						n = 2
-						if r.Calls == nil {
-							n = 1
-							if r.Root == 0 {
-								n = 0
-							}
-						}
-					}
-				}
-			}
-		}
+	case r.Parallel:
+		n = 5
+	case r.KeepSession:
+		n = 4
+	case r.Session != 0:
+		n = 3
+	case r.Calls != nil:
+		n = 2
+	case r.Root != 0:
+		n = 1
 	}
 	x.BeginStruct("brmi.req", n)
 	if n > 0 {
@@ -226,6 +225,9 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		if err := x.Value(r.Policy); err != nil {
 			return err
 		}
+	}
+	if n > 7 {
+		encStrSlice(x, r.RootNames)
 	}
 	return nil
 }
@@ -300,7 +302,42 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Policy = p
 		}
 	}
-	return x.SkipFields(n - 7)
+	if n > 7 {
+		if r.RootNames, err = decStrSlice(x); err != nil {
+			return err
+		}
+		if r.RootNames != nil && len(r.RootNames) != 1+len(r.Roots) {
+			return &wire.CorruptError{Detail: fmt.Sprintf("batch request names %d roots but carries %d", len(r.RootNames), 1+len(r.Roots))}
+		}
+	}
+	return x.SkipFields(n - 8)
+}
+
+// encStrSlice encodes a []string field (nil encodes as kNil).
+func encStrSlice(x wire.Enc, ss []string) {
+	if ss == nil {
+		x.Nil()
+		return
+	}
+	x.Slice(len(ss))
+	for _, s := range ss {
+		x.Str(s)
+	}
+}
+
+// decStrSlice decodes a []string field.
+func decStrSlice(x wire.Dec) ([]string, error) {
+	n, err := x.SliceLen()
+	if err != nil || n < 0 {
+		return nil, err
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = x.Str(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func encCallResult(x wire.Enc, r *callResult) error {
@@ -449,15 +486,16 @@ func decAnySlice(x wire.Dec) ([]any, error) {
 }
 
 func encBatchResponse(x wire.Enc, r *batchResponse) error {
-	n := 3
-	if r.Restarts == 0 {
+	var n int
+	switch {
+	case r.RootRefs != nil:
+		n = 4
+	case r.Restarts != 0:
+		n = 3
+	case r.Session != 0:
 		n = 2
-		if r.Session == 0 {
-			n = 1
-			if r.Results == nil {
-				n = 0
-			}
-		}
+	case r.Results != nil:
+		n = 1
 	}
 	x.BeginStruct("brmi.resp", n)
 	if n > 0 {
@@ -477,6 +515,16 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 	}
 	if n > 2 {
 		x.Int(r.Restarts)
+	}
+	if n > 3 {
+		if r.RootRefs == nil {
+			x.Nil()
+		} else {
+			x.Slice(len(r.RootRefs))
+			for _, ref := range r.RootRefs {
+				x.RefVal(ref)
+			}
+		}
 	}
 	return nil
 }
@@ -514,5 +562,19 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 3)
+	if n > 3 {
+		rn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if rn >= 0 {
+			r.RootRefs = make([]wire.Ref, rn)
+			for i := range r.RootRefs {
+				if r.RootRefs[i], err = x.RefVal(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return x.SkipFields(n - 4)
 }

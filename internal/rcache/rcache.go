@@ -244,14 +244,21 @@ func ObjKey(ref wire.Ref) string {
 	return ref.Endpoint + "\x00" + strconv.FormatUint(ref.ObjID, 16)
 }
 
-// Key builds the cache key of a readonly call: object, method, and the
-// compiled-codec encoding of the arguments. ok is false when the call is
-// not cacheable — an argument the wire codec cannot encode (proxies,
-// futures, unregistered types) has no stable identity to key by, and the
-// caller must fall back to an ordinary recorded call.
-func Key(ref wire.Ref, method string, args []any) (key string, ok bool) {
+// NameKey is the per-object invalidation key of a root addressed by
+// cluster-wide name (resolved at its home server, so the client never holds
+// its ref). The leading zero bytes keep it disjoint from every ObjKey.
+func NameKey(name string) string {
+	return "\x00\x00" + name
+}
+
+// Key builds the cache key of a readonly call: object key (ObjKey or
+// NameKey), method, and the compiled-codec encoding of the arguments. ok is
+// false when the call is not cacheable — an argument the wire codec cannot
+// encode (proxies, futures, unregistered types) has no stable identity to
+// key by, and the caller must fall back to an ordinary recorded call.
+func Key(obj string, method string, args []any) (key string, ok bool) {
 	buf := make([]byte, 0, 64)
-	buf = append(buf, ObjKey(ref)...)
+	buf = append(buf, obj...)
 	buf = append(buf, 0)
 	buf = append(buf, method...)
 	buf = append(buf, 0)

@@ -18,7 +18,7 @@ func testRef(n uint64) wire.Ref {
 
 func mustKey(t *testing.T, ref wire.Ref, method string, args ...any) string {
 	t.Helper()
-	k, ok := Key(ref, method, args)
+	k, ok := Key(ObjKey(ref), method, args)
 	if !ok {
 		t.Fatalf("Key(%v, %s, %v) not cacheable", ref, method, args)
 	}
@@ -40,8 +40,15 @@ func TestKeyDistinguishesArgsAndRejectsUnencodable(t *testing.T) {
 		t.Fatalf("distinct objects produced equal keys")
 	}
 	type notRegistered struct{ X chan int }
-	if _, ok := Key(ref, "Get", []any{notRegistered{}}); ok {
+	if _, ok := Key(ObjKey(ref), "Get", []any{notRegistered{}}); ok {
 		t.Fatalf("unencodable argument reported cacheable")
+	}
+	// A root addressed by name keys apart from every ref-keyed object,
+	// including one on an endpoint named like it.
+	for _, name := range []string{"server-0", "", "1"} {
+		if kn, _ := Key(NameKey(name), "Get", []any{int64(1)}); kn == k1 || NameKey(name) == ObjKey(wire.Ref{Endpoint: name}) {
+			t.Fatalf("name key %q collides with a ref key", name)
+		}
 	}
 }
 

@@ -102,6 +102,13 @@ type streamType struct {
 	asPtr bool
 }
 
+// maxGenericPrealloc caps the capacity a generic slice or map reserves from
+// its claimed length. Generic values nest without limit, and every level may
+// claim up to the message size: reserving the claim would let a few hundred
+// bytes of nested headers allocate quadratically. Growth by append keeps
+// the total linear in what actually decodes.
+const maxGenericPrealloc = 32
+
 // maxStreamTypes bounds the per-message type table: the encoder allocates
 // ids densely, so any id beyond this is a corrupt or hostile message, not a
 // real type set.
@@ -245,7 +252,7 @@ func (d *decoder) value() (any, error) {
 		if n > uint64(len(d.data)) {
 			return nil, d.corrupt("slice length exceeds message size")
 		}
-		out := make([]any, 0, n)
+		out := make([]any, 0, min(n, maxGenericPrealloc))
 		for i := uint64(0); i < n; i++ {
 			v, err := d.value()
 			if err != nil {
@@ -262,7 +269,7 @@ func (d *decoder) value() (any, error) {
 		if n > uint64(len(d.data)) {
 			return nil, d.corrupt("map length exceeds message size")
 		}
-		out := make(map[any]any, n)
+		out := make(map[any]any, min(n, maxGenericPrealloc))
 		for i := uint64(0); i < n; i++ {
 			k, err := d.value()
 			if err != nil {
@@ -340,7 +347,10 @@ func (d *decoder) typeDef() error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnregistered, name)
 	}
-	if id == 0 || id > maxStreamTypes {
+	// Ids are allocated densely, so a definition may extend the table by at
+	// most one entry: a far-out id would otherwise allocate a table out of
+	// all proportion to the message.
+	if id == 0 || id > maxStreamTypes || id > uint64(len(d.types))+1 {
 		return d.corrupt(fmt.Sprintf("type id %d out of range", id))
 	}
 	for uint64(len(d.types)) < id {
