@@ -606,6 +606,10 @@ type Proxy struct {
 	// resolves it at flush; it is also what lets a stale-route retry re-home
 	// the root through the refreshed ring.
 	key string
+	// rootIdx is a root's position among its group's roots, set when the
+	// destination's core batch is opened; it indexes the payload-order
+	// interfaces a replicated destination learns from its primary.
+	rootIdx int
 	// origin is the recorded call that produces this proxy's object (nil
 	// for roots). The planner reads it to build the dependency DAG.
 	origin *recordedCall
@@ -658,6 +662,13 @@ func (p *Proxy) Call(method string, args ...any) *Future {
 // at flush time joins the cache's singleflight table, so identical
 // in-flight readonly calls across this client's batches collapse into one
 // wire call. Without a cache (or for uncacheable shapes) it is Call.
+//
+// On a replicated directory (WithReplication(R>1)), a destination's wave
+// made only of CallROs on roots, whose methods the roots' resolved
+// interfaces register readonly (rmi.RegisterReadOnly), and which neither
+// keeps nor closes a chained session, is not shipped to the followers: it
+// costs one round trip to the primary, waits on no quorum, and succeeds
+// with every follower down. Any other wave ships as a write.
 func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b := p.b
 	f := &Future{b: b}

@@ -30,6 +30,13 @@ type Directory struct {
 	// issuing N identical fan-outs.
 	sf rcache.Group
 
+	// leaving holds the members whose removal went out to the nodes but has
+	// not finished draining them (see Rebalancer.RemoveServer): until its
+	// last name departs, a leaving member holds the authoritative copy of
+	// each name it still binds.
+	mu      sync.Mutex
+	leaving map[string]bool
+
 	// Metrics, wired from the peer's stats registry (nil no-ops otherwise).
 	lookupRetries    *stats.Counter // cluster.lookup_retries
 	refreshes        *stats.Counter // cluster.dir_refreshes
@@ -51,6 +58,32 @@ func NewDirectory(peer *rmi.Peer, endpoints []string, opts ...RingOption) *Direc
 
 // Ring exposes the underlying shard map (e.g. to add servers at runtime).
 func (d *Directory) Ring() *Ring { return d.ring }
+
+// setLeaving marks (or, with on false, clears) endpoint as a member whose
+// removal is under way.
+func (d *Directory) setLeaving(endpoint string, on bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !on {
+		delete(d.leaving, endpoint)
+		return
+	}
+	if d.leaving == nil {
+		d.leaving = make(map[string]bool)
+	}
+	d.leaving[endpoint] = true
+}
+
+// leavingMembers returns the endpoints marked by setLeaving.
+func (d *Directory) leavingMembers() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]string, 0, len(d.leaving))
+	for ep := range d.leaving {
+		out = append(out, ep)
+	}
+	return out
+}
 
 // Epoch returns this directory's view of the membership version.
 func (d *Directory) Epoch() uint64 { return d.ring.Epoch() }

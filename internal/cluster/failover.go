@@ -217,8 +217,9 @@ func (r *Rebalancer) placeMoves(ctx context.Context, dst string, moves []move, m
 //     shadows (snapshot-installed at placement) beat lazy ones, then newest
 //     epoch, then most applied records, then lowest endpoint. Names already
 //     bound on a survivor — migrated away before the crash, or promoted by
-//     an earlier partial failover — are filtered out, so stale shadows are
-//     never resurrected and retries converge;
+//     an earlier partial failover — or on a leaving member that a removal
+//     has not drained yet are filtered out, so stale shadows are never
+//     resurrected and retries converge;
 //  3. promote — each winning survivor binds its shadows into its registry
 //     (Replica.Promote, idempotent per name);
 //  4. migrate — the ordinary copy-then-tombstone migration moves every
@@ -304,21 +305,12 @@ func (r *Rebalancer) FailoverServer(ctx context.Context, dead string) (*Rebalanc
 
 	promoted := 0
 	if len(best) > 0 {
-		// Filter: a name already bound on a survivor is alive — promotion
-		// would overwrite fresher authoritative state with a shadow.
-		bound := make(map[string]bool)
-		manifests := make([][]Binding, len(survivors))
-		if err := eachEndpoint(survivors, func(i int, ep string) error {
-			var ferr error
-			manifests[i], ferr = fetchManifest(ctx, r.dir.peer, ep)
-			return ferr
-		}); err != nil {
+		// Filter: a name already bound on a survivor, or on a leaving member,
+		// is alive — promotion would overwrite fresher authoritative state
+		// with a shadow.
+		bound, err := r.boundNames(ctx, survivors, dead)
+		if err != nil {
 			return nil, err
-		}
-		for _, m := range manifests {
-			for _, b := range m {
-				bound[b.Name] = true
-			}
 		}
 		byWinner := make(map[string][]string)
 		for name, c := range best {
@@ -363,7 +355,44 @@ func (r *Rebalancer) FailoverServer(ctx context.Context, dead string) (*Rebalanc
 	if contained {
 		ring.Remove(dead)
 	}
+	// A dead member's names were recovered from its replicas above: a
+	// removal that was draining it has nothing left to drain.
+	r.dir.setLeaving(dead, false)
 	return &RebalanceStats{Epoch: epoch, Moved: moved, Pairs: len(plan), Promoted: promoted}, nil
+}
+
+// boundNames returns every name bound in the registry of a member or of a
+// leaving member — one out of the ring whose removal has not finished
+// draining it (Directory.setLeaving), dead excepted. The leaving members
+// matter: a name the drain has not moved yet is bound only there, while a
+// survivor may still hold a shadow of it from before it last moved to the
+// leaving member; promoting that shadow would resurrect state older than
+// acked writes, and the drain's later arrival would find the name already
+// bound and keep the stale copy. A leaving member that does not answer
+// fails the call: its bindings are unknown until its removal completes or
+// it is failed over itself.
+func (r *Rebalancer) boundNames(ctx context.Context, members []string, dead string) (map[string]bool, error) {
+	sources := append([]string(nil), members...)
+	for _, ep := range r.dir.leavingMembers() {
+		if ep != dead && !contains(members, ep) {
+			sources = append(sources, ep)
+		}
+	}
+	manifests := make([][]Binding, len(sources))
+	if err := eachEndpoint(sources, func(i int, ep string) error {
+		var ferr error
+		manifests[i], ferr = fetchManifest(ctx, r.dir.peer, ep)
+		return ferr
+	}); err != nil {
+		return nil, err
+	}
+	bound := make(map[string]bool)
+	for _, m := range manifests {
+		for _, b := range m {
+			bound[b.Name] = true
+		}
+	}
+	return bound, nil
 }
 
 // betterCandidate reports whether candidate (ep, ni) beats (curEp, cur) in
@@ -389,19 +418,9 @@ func (r *Rebalancer) rescueOrphans(ctx context.Context, members []string, epoch 
 	if r.dir.Ring().Replication() <= 1 {
 		return 0, nil // no shadows exist, and members need not serve a Replica
 	}
-	manifests := make([][]Binding, len(members))
-	if err := eachEndpoint(members, func(i int, ep string) error {
-		var ferr error
-		manifests[i], ferr = fetchManifest(ctx, r.dir.peer, ep)
-		return ferr
-	}); err != nil {
+	bound, err := r.boundNames(ctx, members, "")
+	if err != nil {
 		return 0, fmt.Errorf("cluster: rescue orphans: %w", err)
-	}
-	bound := make(map[string]bool)
-	for _, m := range manifests {
-		for _, b := range m {
-			bound[b.Name] = true
-		}
 	}
 	type candidate struct {
 		ep, primary string

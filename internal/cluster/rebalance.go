@@ -261,6 +261,7 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 			if err := r.placeReplicas(ctx, ring.Endpoints(), ring, epoch); err != nil {
 				return nil, err
 			}
+			r.dir.setLeaving(endpoint, false)
 			return &RebalanceStats{Epoch: epoch}, nil
 		}
 		if err := r.migrate(ctx, plan, ring, epoch); err != nil {
@@ -269,6 +270,7 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 		if err := r.placeReplicas(ctx, ring.Endpoints(), ring, epoch); err != nil {
 			return nil, err
 		}
+		r.dir.setLeaving(endpoint, false)
 		return &RebalanceStats{Epoch: epoch, Moved: moved, Pairs: len(plan)}, nil
 	}
 	if ring.Size() == 1 {
@@ -294,6 +296,10 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 	if err := r.placeReplicas(ctx, ring.Endpoints(), target, ring.Epoch()); err != nil {
 		return nil, err
 	}
+	// From the broadcast on, the endpoint is out of the ring but still binds
+	// every name it has not departed yet: a failover election must see
+	// those bindings, or it would promote an older shadow of the name.
+	r.dir.setLeaving(endpoint, true)
 	if err := r.broadcast(ctx, append(survivors, endpoint), survivors, epoch); err != nil {
 		return nil, err
 	}
@@ -308,6 +314,7 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 		return nil, err
 	}
 	ring.Remove(endpoint)
+	r.dir.setLeaving(endpoint, false)
 	return &RebalanceStats{Epoch: epoch, Moved: moved, Pairs: len(plan)}, nil
 }
 

@@ -75,6 +75,8 @@ type NameInfo struct {
 	Epoch uint64
 	// Applied counts the records replayed onto this shadow since its last
 	// install — its position past the snapshot in the shard's per-name log.
+	// Readonly waves are never shipped (see Batch.replicate), so every
+	// record it counts could have changed state.
 	Applied int64
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -325,4 +326,343 @@ func TestFailoverRetryConvergesAfterInjectedFault(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Readonly waves are not replicated: a wave whose every call is a CallRO
+// on a root, registered readonly for the interface the primary resolved,
+// and which neither keeps nor closes a chained session, runs on its primary
+// alone. The tests below pin each rule, and that every other wave still
+// ships.
+
+// homedNames returns n names (prefix-0, prefix-1, …) per listed primary, in
+// that order, chosen by dir's owner lists before anything is bound.
+func homedNames(t *testing.T, dir *cluster.Directory, prefix string, primaries ...string) []string {
+	t.Helper()
+	out := make([]string, 0, len(primaries))
+	for _, want := range primaries {
+		for i := 0; ; i++ {
+			name := fmt.Sprintf("%s-%d", prefix, i)
+			if owners, _ := dir.Owners(name); owners[0] == want && !slices.Contains(out, name) {
+				out = append(out, name)
+				break
+			}
+			if i > 10000 {
+				t.Fatalf("no name homed at %s", want)
+			}
+		}
+	}
+	return out
+}
+
+// replTotals sums the follower appends across the cluster and reads the
+// client's quorum waits.
+func replTotals(ec *clustertest.Cluster) (appends, quorumWaits int64) {
+	for _, s := range ec.Servers {
+		appends += s.Stats.Snapshot().Counter("cluster.replica_appends")
+	}
+	return appends, ec.ClientStats.Snapshot().Counter("cluster.quorum_waits")
+}
+
+// shardRecords is the number of records the follower of name's shard holds
+// in its log of the primary's shard, and the name's Applied credential
+// there.
+func shardRecords(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory, name string) (length, applied int64) {
+	t.Helper()
+	owners, _ := dir.Owners(name)
+	si := ec.Server(owners[1]).Replica.ShardInfo(owners[0])
+	for _, ni := range si.Names {
+		if ni.Name == name {
+			return si.Len, ni.Applied
+		}
+	}
+	t.Fatalf("follower %s holds no shadow of %s", owners[1], name)
+	return 0, 0
+}
+
+// TestReadOnlyFlushIsNotShipped: a pure-readonly flush over two primaries
+// costs one call per destination — no Append, no quorum wait.
+func TestReadOnlyFlushIsNotShipped(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	names := homedNames(t, cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2)), "ro", "server-0", "server-1")
+	dir := placedDirectory(t, ec, map[string]int64{names[0]: 10, names[1]: 20})
+
+	before := ec.Client.CallCount()
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	futs := make([]*cluster.Future, len(names))
+	for i, name := range names {
+		p, err := b.RootNamed(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = p.CallRO("Get")
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("readonly flush: %v", err)
+	}
+	for i, want := range []int64{10, 20} {
+		if v, err := cluster.Typed[int64](futs[i]).Get(); err != nil || v != want {
+			t.Errorf("%s Get = %v, %v; want %d", names[i], v, err, want)
+		}
+	}
+	if got := ec.Client.CallCount() - before; got != 2 {
+		t.Errorf("readonly flush over 2 primaries cost %d calls, want 2 (one per destination)", got)
+	}
+	if appends, waits := replTotals(ec); appends != 0 || waits != 0 {
+		t.Errorf("readonly flush: %d follower appends, %d quorum waits; want 0 and 0", appends, waits)
+	}
+}
+
+// TestReadOnlyFlushSurvivesFollowerLoss: with the only follower dead, a
+// readonly flush still succeeds — it waits on no quorum — while a write
+// on the same name fails its quorum.
+func TestReadOnlyFlushSurvivesFollowerLoss(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+	owners, _ := dir.Owners("obj-0")
+	ec.CrashServer(owners[1])
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.CallRO("Get")
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("readonly flush with the follower dead: %v", err)
+	}
+	if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 100 {
+		t.Fatalf("Get = %v, %v; want 100", v, err)
+	}
+
+	wb := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	wp, err := wb.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp.Call("Add", int64(1))
+	var qe *cluster.QuorumError
+	if err := wb.Flush(ctx); !errors.As(err, &qe) {
+		t.Fatalf("write with the follower dead: err = %v, want a *QuorumError", err)
+	}
+}
+
+// TestReadOnlyFlushesLeaveAppliedUnchanged: readonly flushes do not move a
+// follower's promotion credential — Applied counts state-changing records
+// only.
+func TestReadOnlyFlushesLeaveAppliedUnchanged(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+
+	flush := func(record func(p *cluster.Proxy)) {
+		t.Helper()
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+		p, err := b.RootNamed(ctx, "obj-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(p)
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(func(p *cluster.Proxy) { p.Call("Add", int64(1)) })
+	len0, applied0 := shardRecords(t, ec, dir, "obj-0")
+	if applied0 != 1 {
+		t.Fatalf("after one write the follower applied %d records, want 1", applied0)
+	}
+	for i := 0; i < 5; i++ {
+		flush(func(p *cluster.Proxy) { p.CallRO("Get") })
+	}
+	if length, applied := shardRecords(t, ec, dir, "obj-0"); length != len0 || applied != applied0 {
+		t.Errorf("after 5 readonly flushes: shard log %d, applied %d; want %d and %d (unchanged)", length, applied, len0, applied0)
+	}
+}
+
+// TestMixedWaveShips: one CallRO beside a write makes the wave a write; it
+// ships and waits on quorum exactly as before.
+func TestMixedWaveShips(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CallRO("Get")
+	p.Call("Add", int64(2))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, applied := shardRecords(t, ec, dir, "obj-0"); applied != 1 {
+		t.Errorf("mixed wave: follower applied %d records, want 1", applied)
+	}
+	if appends, waits := replTotals(ec); appends != 1 || waits != 1 {
+		t.Errorf("mixed wave: %d appends, %d quorum waits; want 1 and 1", appends, waits)
+	}
+}
+
+// TestPlainCallOfReadOnlyMethodShips: the readonly registration alone is
+// not enough either — a wave recorded through Call, not CallRO, ships.
+func TestPlainCallOfReadOnlyMethodShips(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Call("Get")
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if appends, waits := replTotals(ec); appends != 1 || waits != 1 {
+		t.Errorf("Call of a readonly method: %d appends, %d quorum waits; want 1 and 1", appends, waits)
+	}
+}
+
+// TestUnregisteredReadOnlyShips: CallRO on a method the interface never
+// declared readonly is not trusted — the wave ships.
+func TestUnregisteredReadOnlyShips(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CallRO("History") // side-effect free, but not registered readonly
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if appends, waits := replTotals(ec); appends != 1 || waits != 1 {
+		t.Errorf("unregistered CallRO: %d appends, %d quorum waits; want 1 and 1", appends, waits)
+	}
+}
+
+// chainedFlush records a two-wave chain on the first name's primary: first
+// is recorded there in wave 0, and GetAfter/Apply (per secondRO) in wave 1,
+// fed by a readonly Get on a second primary. It returns the length of the
+// first name's shard log on its follower after the flush.
+func chainedFlush(t *testing.T, first func(p *cluster.Proxy), secondRO bool) int64 {
+	t.Helper()
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	names := homedNames(t, cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2)), "ch", "server-0", "server-1")
+	dir := placedDirectory(t, ec, map[string]int64{names[0]: 10, names[1]: 20})
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pa, err := b.RootNamed(ctx, names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := b.RootNamed(ctx, names[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first(pa)
+	dep := pb.CallRO("Get")
+	var last *cluster.Future
+	if secondRO {
+		last = pa.CallRO("GetAfter", dep)
+	} else {
+		last = pa.Call("Apply", int64(7), dep)
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if b.Waves() != 2 {
+		t.Fatalf("chained flush took %d waves, want 2", b.Waves())
+	}
+	if _, err := last.Get(); err != nil {
+		t.Fatalf("wave-1 call: %v", err)
+	}
+	length, _ := shardRecords(t, ec, dir, names[0])
+	return length
+}
+
+// TestReadOnlyWaveKeepingSessionShips: a readonly wave that leaves a chained
+// session open ships — the next wave replays against the follower's shadow
+// session, which must have seen it.
+func TestReadOnlyWaveKeepingSessionShips(t *testing.T) {
+	length := chainedFlush(t, func(p *cluster.Proxy) { p.CallRO("Get") }, false)
+	if length != 2 {
+		t.Errorf("follower shard log holds %d records, want 2 (readonly wave 0 kept the session, write wave 1 closed it)", length)
+	}
+}
+
+// TestReadOnlyWaveClosingSessionShips: a readonly last wave that closes a
+// chained session ships — the follower's shadow session closes with it.
+func TestReadOnlyWaveClosingSessionShips(t *testing.T) {
+	length := chainedFlush(t, func(p *cluster.Proxy) { p.Call("Add", int64(1)) }, true)
+	if length != 2 {
+		t.Errorf("follower shard log holds %d records, want 2 (write wave 0, readonly wave 1 closing the session)", length)
+	}
+}
+
+// TestFailoverKeepsNameBoundOnLeavingMember: a removal cut after its
+// broadcast leaves a name bound only on the leaving member, while the
+// name's new home still has a follower holding a shadow from before the
+// name moved to that member. When the new home dies, the failover must not
+// promote that older shadow; finishing the removal then drains the name,
+// acked write included.
+func TestFailoverKeepsNameBoundOnLeavingMember(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	eps := ec.Endpoints()
+	dir := cluster.NewDirectory(ec.Client, eps[:3], cluster.WithReplication(2))
+
+	// The name's owners are [server-0, X] without server-3 and [server-3, Y]
+	// with it, Y != X: joining server-3 re-places the name's shadow at Y and
+	// leaves X's shadow under server-0's shard behind.
+	grown := cluster.NewRing(eps, cluster.WithReplication(2))
+	var name string
+	for i := 0; name == ""; i++ {
+		n := fmt.Sprintf("obj-%d", i)
+		before, _ := dir.Owners(n)
+		after, _ := grown.Owners(n)
+		if before[0] == "server-0" && after[0] == "server-3" && after[1] != before[1] {
+			name = n
+		}
+		if i > 100000 {
+			t.Fatal("no name with the required owner geometry")
+		}
+	}
+	ec.BindCounter(dir, name, 100)
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-3"); err != nil {
+		t.Fatalf("add server-3: %v", err)
+	}
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Call("Add", int64(7))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("acked write on server-3: %v", err)
+	}
+
+	cut := cluster.NewRebalancer(dir, cluster.WithMigrationProbe(failAtStage(cluster.StageSnapshot)))
+	if _, err := cut.RemoveServer(ctx, "server-3"); !errors.Is(err, errInjected) {
+		t.Fatalf("cut removal error = %v, want the injected fault", err)
+	}
+	ec.CrashServer("server-0")
+	if _, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-0"); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if _, err := cluster.NewRebalancer(dir).RemoveServer(ctx, "server-3"); err != nil {
+		t.Fatalf("finish removal: %v", err)
+	}
+	checkConverged(t, ec, dir, map[string]int64{name: 107})
 }

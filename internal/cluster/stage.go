@@ -84,7 +84,9 @@ func (ds *destState) open(b *Batch) error {
 		cb = core.New(b.peer, first.rootRef, opts...)
 	}
 	first.core = cb.Root()
-	for _, p := range ds.group.roots[1:] {
+	first.rootIdx = 0
+	for i, p := range ds.group.roots[1:] {
+		p.rootIdx = i + 1
 		var cp *core.Proxy
 		var err error
 		if p.key != "" {
@@ -143,7 +145,11 @@ func (b *Batch) armReplication(ds *destState) {
 // list smuggle a write into a re-placed shard. A returned *QuorumError
 // fails the destination WITHOUT the stale-route retry: the primary already
 // applied the wave, so a re-send could double-apply.
-func (b *Batch) replicate(ctx context.Context, ds *destState) error {
+//
+// A wave that cannot change state is not shipped at all (see readOnly): sb
+// is the wave's sub-batch (nil for a pure session close) and keep reports
+// whether the wave leaves its chained session open for a later one.
+func (b *Batch) replicate(ctx context.Context, ds *destState, sb *subBatch, keep bool) error {
 	rs := ds.repl
 	if rs == nil || rs.payload == nil {
 		return nil // unreplicated destination, or a wave with no wire work
@@ -161,6 +167,12 @@ func (b *Batch) replicate(ctx context.Context, ds *destState) error {
 			ifaces[i] = ref.Iface
 		}
 		rs.ifaces = ifaces
+	}
+	// A chained wave ships whatever it holds: a later wave of the chain, or
+	// the session close, replays against the follower's shadow session,
+	// which must have seen every wave before it.
+	if !keep && !ds.sessionOpen && rs.readOnly(sb) {
+		return nil
 	}
 	primary := ds.group.endpoint
 
@@ -287,6 +299,23 @@ func (b *Batch) replicate(ctx context.Context, ds *destState) error {
 	return worst
 }
 
+// readOnly reports whether sb's wave cannot change state: every call was
+// recorded through CallRO on a root proxy, and the interface the primary
+// resolved that root to declares the method readonly (rmi.IsReadOnly) — the
+// client's CallRO alone is not trusted. Replaying such a wave on a follower
+// changes nothing, so it needs no ship and no quorum wait.
+func (rs *replState) readOnly(sb *subBatch) bool {
+	if sb == nil {
+		return false
+	}
+	for _, c := range sb.calls {
+		if !c.ro || !c.target.isRoot || !rmi.IsReadOnly(rs.ifaces[c.target.rootIdx], c.method) {
+			return false
+		}
+	}
+	return true
+}
+
 // execute runs the stage schedule. Per stage: translate each destination's
 // sub-batch into its core.Batch (resolving staged inputs from earlier
 // waves), fan the destinations out in parallel, then harvest exported
@@ -371,9 +400,10 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 			wg.Add(1)
 			go func(i int, ds *destState) {
 				defer wg.Done()
+				sb := stageSub(subs, ds)
 				if keep[ds] {
 					if errs[i] = ds.cb.FlushAndContinue(ctx); errs[i] == nil {
-						errs[i] = b.replicate(ctx, ds)
+						errs[i] = b.replicate(ctx, ds, sb, true)
 					}
 					return
 				}
@@ -387,7 +417,7 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 					fctx = context.WithoutCancel(ctx)
 				}
 				if errs[i] = ds.cb.Flush(fctx); errs[i] == nil {
-					errs[i] = b.replicate(ctx, ds)
+					errs[i] = b.replicate(ctx, ds, sb, false)
 				}
 			}(i, ds)
 		}
@@ -815,7 +845,7 @@ func (b *Batch) retryOne(ctx context.Context, stage int, r *staleRetry, reportFa
 			// were re-opened against the refreshed ring, so the record
 			// ships to the new homes' followers under the new epoch.
 			if errs[i] = rd.ds.cb.Flush(ctx); errs[i] == nil {
-				errs[i] = b.replicate(ctx, rd.ds)
+				errs[i] = b.replicate(ctx, rd.ds, rd.sb, false)
 			}
 		}(i, rd)
 	}

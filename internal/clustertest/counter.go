@@ -23,6 +23,7 @@ type CounterState struct {
 func init() {
 	wire.MustRegister("clustertest.counterState", &CounterState{})
 	cluster.RegisterMovable(CounterIface, func() rmi.Remote { return &Counter{} })
+	rmi.RegisterReadOnly(CounterIface, "Get", "GetAfter")
 }
 
 // Counter is the test workload: a remote object whose state makes execution
@@ -63,6 +64,13 @@ func (c *Counter) Get() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
+}
+
+// GetAfter is Get with an explicit dataflow edge, like Apply: dep only lets
+// a recording schedule a readonly call in a later wave than its producer.
+func (c *Counter) GetAfter(dep any) int64 {
+	_ = dep
+	return c.Get()
 }
 
 // Self returns the counter as a remote result, so tests can record
